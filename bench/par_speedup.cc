@@ -116,7 +116,9 @@ runOnce(unsigned threads, bool sharded_net, bool parallel_departure,
     RunResult r;
     r.threads = threads;
     r.shardedNet = sharded_net;
-    r.parallelDeparture = parallel_departure;
+    // Report what ran: the window needs the sharded network on a
+    // multi-thread engine, and every other run sweeps.
+    r.parallelDeparture = parallel_departure && sharded_net && threads > 1;
     r.seconds = std::chrono::duration<double>(stop - start).count();
     r.cycles = machine.now();
     r.statsJson = machine.statsJson();

@@ -790,12 +790,14 @@ Network::arrivalPhaseUnit(Unit &unit)
     // arbitration -- and with it every statistic -- is identical for
     // any shardGroupTarget.
     std::sort(unit.active.begin(), unit.active.end());
+    const std::size_t u = static_cast<std::size_t>(&unit - units_.data());
+    // Columns the merge activates depart from next cycle on: the merge
+    // sweeps only this post-arrival prefix (one writer per slot).
+    mergeLen_[u] = keep;
     // One profiler call per unit per tick; the unit's slot has a
     // single writer (whichever shard owns the unit this phase).
-    if (prof_ != nullptr && consumed != 0) {
-        prof_->unitMessages(
-            static_cast<std::uint32_t>(&unit - units_.data()), consumed);
-    }
+    if (prof_ != nullptr && consumed != 0)
+        prof_->unitMessages(static_cast<std::uint32_t>(u), consumed);
 }
 
 void
@@ -817,9 +819,15 @@ Network::arrivalPhase()
         return;
     }
     // Inline sweep: the same canonical algorithm, unit by unit, so the
-    // unsharded path is byte-identical to the sharded one.
-    for (Unit &unit : units_)
-        arrivalPhaseUnit(unit);
+    // unsharded path is byte-identical to the sharded one.  A unit with
+    // an empty active list has no inbox to consume and nothing to
+    // prune, so it is skipped.
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+        if (units_[u].active.empty())
+            mergeLen_[u] = 0;
+        else
+            arrivalPhaseUnit(units_[u]);
+    }
 }
 
 void
@@ -913,69 +921,57 @@ Network::execPulls(Unit &unit, bool forward)
 void
 Network::departWindow(bool forward)
 {
+    // Only mergePhase() calls this, and only with a multi-thread engine
+    // and at least one hop stage (a one-thread tick sweeps instead).
     const unsigned stages = topo_.stages();
     const unsigned groups = plan_.groupsPerStage();
     // Receiving stages in ripple order: forward rs = stages-1 .. 1
     // (sender stage descending), reverse rs = 0 .. stages-2.
     const unsigned n_rs = stages - 1;
-    if (n_rs == 0)
-        return;
+    ULTRA_ASSERT(engine_ != nullptr && engine_->threads() > 1 && n_rs > 0);
 
-    if (engine_ != nullptr && engine_->threads() > 1) {
-        ULTRA_CHECK_NET_DEPART_BEGIN(now_);
-        try {
-            prof::Profiler *const prof = prof_;
-            engine_->forEachShard([this, forward, stages, groups,
-                                   n_rs, prof](unsigned shard) {
-                const par::ShardRange r = departShards_.range(shard);
-                unsigned step = 0;
-                try {
-                    for (; step < n_rs; ++step) {
-                        const unsigned rs =
-                            forward ? stages - 1 - step : step;
-                        for (std::size_t slot = r.begin; slot < r.end;
-                             ++slot) {
-                            const std::size_t c = slot / groups;
-                            const std::size_t g = slot % groups;
-                            execPulls(
-                                units_[(c * stages + rs) * groups + g],
-                                forward);
-                        }
-                        // One stage completes everywhere before the
-                        // next starts: stage rs-1's own-queue space
-                        // mutations must not race stage rs's pulls.
-                        if (step + 1 < n_rs) {
-                            if (prof != nullptr)
-                                prof->stageWaitBegin(shard);
-                            engine_->stageBarrier().arriveAndWait();
-                            if (prof != nullptr)
-                                prof->stageWaitEnd(shard);
-                        }
+    ULTRA_CHECK_NET_DEPART_BEGIN(now_);
+    try {
+        prof::Profiler *const prof = prof_;
+        engine_->forEachShard([this, forward, stages, groups, n_rs,
+                               prof](unsigned shard) {
+            const par::ShardRange r = departShards_.range(shard);
+            unsigned step = 0;
+            try {
+                for (; step < n_rs; ++step) {
+                    const unsigned rs = forward ? stages - 1 - step : step;
+                    for (std::size_t slot = r.begin; slot < r.end;
+                         ++slot) {
+                        const std::size_t c = slot / groups;
+                        const std::size_t g = slot % groups;
+                        execPulls(units_[(c * stages + rs) * groups + g],
+                                  forward);
                     }
-                } catch (...) {
-                    // Keep this shard arriving at the remaining stage
-                    // barriers so the other shards can finish instead
-                    // of deadlocking; the engine rethrows after join.
-                    for (unsigned b = step; b + 1 < n_rs; ++b)
+                    // One stage completes everywhere before the next
+                    // starts: stage rs-1's own-queue space mutations
+                    // must not race stage rs's pulls.
+                    if (step + 1 < n_rs) {
+                        if (prof != nullptr)
+                            prof->stageWaitBegin(shard);
                         engine_->stageBarrier().arriveAndWait();
-                    throw;
+                        if (prof != nullptr)
+                            prof->stageWaitEnd(shard);
+                    }
                 }
-            });
-        } catch (...) {
-            ULTRA_CHECK_NET_DEPART_END();
-            throw;
-        }
+            } catch (...) {
+                // Keep this shard arriving at the remaining stage
+                // barriers so the other shards can finish instead of
+                // deadlocking; the engine rethrows after join.
+                for (unsigned b = step; b + 1 < n_rs; ++b)
+                    engine_->stageBarrier().arriveAndWait();
+                throw;
+            }
+        });
+    } catch (...) {
         ULTRA_CHECK_NET_DEPART_END();
-        return;
+        throw;
     }
-    // Inline window: identical order, all slots in slot order.
-    for (unsigned step = 0; step < n_rs; ++step) {
-        const unsigned rs = forward ? stages - 1 - step : step;
-        for (unsigned c = 0; c < cfg_.d; ++c) {
-            for (unsigned g = 0; g < groups; ++g)
-                execPulls(unitAt(c, rs, g), forward);
-        }
-    }
+    ULTRA_CHECK_NET_DEPART_END();
 }
 
 void
@@ -987,16 +983,19 @@ Network::mergePhase()
     const unsigned stages = topo_.stages();
     const unsigned groups = plan_.groupsPerStage();
 
-    // Snapshot every unit's active count: columns activated DURING the
-    // merge (claim pumping, next-hop handoffs) depart starting next
-    // cycle, which keeps the sweep a pure function of the pre-merge
-    // state.  The lists themselves were sorted by the arrival phase, so
-    // a stage's columns are visited in ascending order regardless of
-    // the group partition.
-    for (std::size_t u = 0; u < units_.size(); ++u)
-        mergeLen_[u] = units_[u].active.size();
+    // The arrival phase left each unit's active count in mergeLen_:
+    // columns activated DURING the merge (claim pumping, next-hop
+    // handoffs) depart starting next cycle, which keeps the sweep a
+    // pure function of the pre-merge state.  The lists themselves were
+    // sorted by the arrival phase, so a stage's columns are visited in
+    // ascending order regardless of the group partition.
 
+    // k is a power of two, so the port rotation is a mask.  A port
+    // whose link is busy or whose queue is empty cannot depart; testing
+    // that here skips the call, which would return at once.
+    const unsigned port_mask = cfg_.k - 1;
     auto sweepStage = [&](Copy &copy, unsigned s, bool forward) {
+        auto &nodes = copy.stage[s];
         for (unsigned g = 0; g < groups; ++g) {
             const std::size_t u =
                 (static_cast<std::size_t>(copy.index) * stages + s) *
@@ -1005,11 +1004,17 @@ Network::mergePhase()
             Unit &unit = units_[u];
             for (std::size_t i = 0; i < mergeLen_[u]; ++i) {
                 const std::uint32_t idx = unit.active[i];
+                Node &node = nodes[idx];
                 for (unsigned p = 0; p < cfg_.k; ++p) {
+                    const unsigned port = (start + p) & port_mask;
+                    const OutPort &out =
+                        forward ? node.fwd[port] : node.rev[port];
+                    if (out.linkFreeAt > now_ || out.queue.empty())
+                        continue;
                     if (forward)
-                        departForward(copy, s, idx, (start + p) % cfg_.k);
+                        departForward(copy, s, idx, port);
                     else
-                        departReverse(copy, s, idx, (start + p) % cfg_.k);
+                        departReverse(copy, s, idx, port);
                 }
             }
         }
@@ -1024,10 +1029,15 @@ Network::mergePhase()
         mark = next;
     };
 
-    if (cfg_.parallelDeparture && stages > 1) {
-        // Receiver-pull schedule (byte-identical to the sender sweep,
-        // see buildPullLists): the hop stages run as parallel windows;
-        // only the MNI handoff and the PE deliveries stay sequential.
+    // The window's pre-pass and stage barriers only pay when the pulls
+    // run on more than one thread; a one-thread tick takes the sender
+    // sweep, which yields the same bytes (see buildPullLists).
+    const bool window = cfg_.parallelDeparture && stages > 1 &&
+                        engine_ != nullptr && engine_->threads() > 1;
+    if (window) {
+        // Receiver-pull schedule: the hop stages run as parallel
+        // windows; only the MNI handoff and the PE deliveries stay
+        // sequential.
         buildPullLists(start);
         lap(prof::Phase::NetPrePass);
         for (auto &copy : copies_)
@@ -1074,27 +1084,36 @@ Network::drainUnitStaging()
     // the same samples land in the same accumulator order no matter how
     // the arrival phase was scheduled.
     for (Unit &unit : units_) {
-        const UnitStats &d = unit.delta;
+        const std::uint32_t u =
+            static_cast<std::uint32_t>(&unit - units_.data());
+        // A pool can allocate without its unit doing any work (an
+        // ideal-mode injection), so every unit reports its pool.
+        if (prof_ != nullptr)
+            prof_->unitPool(u, unit.pool.allocCount(), unit.pool.capacity());
+        if (unit.active.empty()) {
+            // Staging is pushed only by a unit working one of its
+            // active nodes, or into a receiving unit by a departure
+            // that activates the receiving node in the same hop, and
+            // active lists only grow between the arrival prune and
+            // here: an idle unit has nothing to drain (and a staging
+            // high-water of 0 to report).
+#ifdef ULTRA_CHECK_ENABLED
+            ULTRA_ASSERT(unit.nothingStaged(), "idle unit ", u,
+                         " holds staged work");
+#endif
+            continue;
+        }
         if (prof_ != nullptr) {
             // Observe staged sizes before the clears below; this is
             // the sequential point where the whole tick's cross-unit
             // staging is visible at once.
-            const std::uint32_t u =
-                static_cast<std::uint32_t>(&unit - units_.data());
             prof_->unitStagingHighWater(
                 u, unit.traces.size() + unit.departWaits.size() +
                        unit.kills.size() + unit.dead.size() +
                        unit.queueLenSamples.size());
-            prof_->unitPool(u, unit.pool.allocCount(),
-                            unit.pool.capacity());
         }
-        if (unit.traces.empty() && unit.kills.empty() &&
-            unit.dead.empty() && unit.queueLenSamples.empty() &&
-            unit.departWaits.empty() && d.combined == 0 &&
-            d.decombined == 0 && d.killed == 0 &&
-            d.revOverflowPackets == 0 && d.stageCombines == 0) {
-            continue; // idle unit: nothing staged this cycle
-        }
+        if (unit.nothingStaged())
+            continue; // nothing staged this cycle
         if (trace_) {
             for (const StagedTrace &t : unit.traces) {
                 if (t.span) {

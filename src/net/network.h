@@ -108,7 +108,8 @@ struct NetSimConfig
      * order are identical to the sender sweep, so output is
      * byte-identical with the knob on or off (pinned by the departure
      * identity sweep in net_shard_test).  A pure scheduling knob; off
-     * reproduces the pre-overhaul sequential merge.
+     * reproduces the pre-overhaul sequential merge.  It takes effect
+     * only on a multi-thread engine: a one-thread tick always sweeps.
      */
     bool parallelDeparture = true;
 
@@ -431,18 +432,22 @@ class Network
         std::vector<PullWire> fwdPull;
         std::vector<PullWire> revPull;
         std::vector<DepartWait> departWaits;
+
+        /** True when the merge-phase drain has nothing to fold. */
+        bool
+        nothingStaged() const
+        {
+            return traces.empty() && kills.empty() && dead.empty() &&
+                   queueLenSamples.empty() && departWaits.empty() &&
+                   delta.combined == 0 && delta.decombined == 0 &&
+                   delta.killed == 0 && delta.revOverflowPackets == 0 &&
+                   delta.stageCombines == 0;
+        }
     };
 
     Node &nodeAt(Copy &copy, unsigned s, std::uint32_t idx)
     {
         return copy.stage[s][idx];
-    }
-    Unit &unitAt(unsigned copy, unsigned s, unsigned group)
-    {
-        return units_[(static_cast<std::size_t>(copy) * topo_.stages() +
-                       s) *
-                          plan_.groupsPerStage() +
-                      group];
     }
     MessagePool &poolOf(const Message *msg)
     {
@@ -486,8 +491,9 @@ class Network
      * space is a pure function of the topology sweep, which is what
      * makes the cycle deterministic for any thread count.
      *
-     * With cfg_.parallelDeparture the per-hop departures run as a
-     * receiver-pull window: buildPullLists() lists every eligible
+     * With cfg_.parallelDeparture and a multi-thread engine the
+     * per-hop departures run as a receiver-pull window (one thread
+     * sweeps): buildPullLists() lists every eligible
      * (switch, port) on the *receiving* unit in canonical sweep order,
      * then departWindow() processes one stage at a time with that
      * stage's receiving units spread over the engine shards (stage
@@ -578,8 +584,8 @@ class Network
      *  engine's shards for the departure window; stage-agnostic, so a
      *  unit is driven by the same shard in every per-stage dispatch. */
     par::ShardPlan departShards_;
-    /** Per-unit active-list length snapshot taken at merge start (so
-     *  merge-time activations depart next cycle). */
+    /** Per-unit active-list length at the end of the arrival phase
+     *  (so merge-time activations depart next cycle). */
     std::vector<std::size_t> mergeLen_;
     std::vector<unsigned> nextCopy_; //!< per-PE round-robin cursor
     std::vector<InjectState> injectStates_; //!< per-PE space claims

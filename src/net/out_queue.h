@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "check/phase_check.h"
@@ -153,7 +152,7 @@ class OutQueue
         ULTRA_ASSERT(claimReady(id), "consuming a claim that is not "
                      "ready");
         const Claim front = claims_.front();
-        claims_.pop_front();
+        claims_.erase(claims_.begin());
         grantedTotal_ -= front.granted;
         reserved_ += front.needed;
     }
@@ -238,6 +237,8 @@ class OutQueue
     std::size_t sizeMessages() const { return msgs_.size() - head_; }
     std::uint32_t usedPackets() const { return used_; }
     std::uint32_t reservedPackets() const { return reserved_; }
+    /** Packets granted to still-open claims. */
+    std::uint32_t grantedPackets() const { return grantedTotal_; }
     std::uint32_t capacityPackets() const { return capacity_; }
 
     Message *head() const { return msgs_[head_]; }
@@ -326,7 +327,10 @@ class OutQueue
     std::uint32_t used_ = 0;
     std::uint32_t reserved_ = 0;
     std::uint32_t grantedTotal_ = 0;
-    std::deque<Claim> claims_;
+    /** Open claims, oldest first.  They exist only under backpressure
+     *  and number at most one per upstream sender, so a flat array
+     *  beats a deque, which heap-allocates even when empty. */
+    std::vector<Claim> claims_;
     std::uint64_t nextClaimId_ = 1;
     /** Ring storage (struct-of-arrays): live entries are
      *  [head_, msgs_.size()); keys_ mirrors msgs_ index-for-index. */

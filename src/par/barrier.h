@@ -49,7 +49,12 @@ class PhaseBarrier
         if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             parties_) {
             arrived_.store(0, std::memory_order_relaxed);
-            epoch_.store(epoch + 1, std::memory_order_release);
+            // seq_cst, not release: notify_all() skips the futex wake
+            // when libstdc++'s waiter count reads 0, and a release
+            // store may still sit in the store buffer when that count
+            // is loaded.  A waiter that registers and checks the epoch
+            // in that gap sleeps on the old epoch for good.
+            epoch_.store(epoch + 1, std::memory_order_seq_cst);
             epoch_.notify_all();
             return;
         }

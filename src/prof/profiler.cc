@@ -173,21 +173,6 @@ Profiler::stageWaitEnd(unsigned shard)
     slot.stageWaitNs += nowNs() - slot.stageT0;
 }
 
-void
-Profiler::unitPool(std::uint32_t unit, std::uint64_t allocs,
-                   std::uint64_t capacity)
-{
-    units_[unit].allocs = allocs;
-    units_[unit].capacity = capacity;
-}
-
-void
-Profiler::unitStagingHighWater(std::uint32_t unit, std::uint64_t entries)
-{
-    UnitSlot &slot = units_[unit];
-    slot.stagingHighWater = std::max(slot.stagingHighWater, entries);
-}
-
 std::uint64_t
 Profiler::totalPhaseNs() const
 {

@@ -43,6 +43,7 @@
 #ifndef ULTRA_PROF_PROFILER_H
 #define ULTRA_PROF_PROFILER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -147,9 +148,19 @@ class Profiler
     {
         units_[unit].messages += n;
     }
-    void unitPool(std::uint32_t unit, std::uint64_t allocs,
-                  std::uint64_t capacity);
-    void unitStagingHighWater(std::uint32_t unit, std::uint64_t entries);
+    void
+    unitPool(std::uint32_t unit, std::uint64_t allocs,
+             std::uint64_t capacity)
+    {
+        units_[unit].allocs = allocs;
+        units_[unit].capacity = capacity;
+    }
+    void
+    unitStagingHighWater(std::uint32_t unit, std::uint64_t entries)
+    {
+        UnitSlot &slot = units_[unit];
+        slot.stagingHighWater = std::max(slot.stagingHighWater, entries);
+    }
 
     // -- report -----------------------------------------------------
     /** Seconds from runBegin to runEnd (or to now mid-run). */

@@ -198,6 +198,59 @@ TEST(OutQueueTest, SecondClaimWaitsForFirst)
     queue.consumeClaim(second);
 }
 
+TEST(OutQueueTest, CancelledMiddleClaimKeepsAgeOrder)
+{
+    // Three senders wait on a full queue; the middle one gives up.
+    // Freed packets must go to the oldest surviving claim, then to the
+    // next, with the claim count and grant total in step throughout.
+    MessagePool pool;
+    OutQueue queue(6);
+    queue.reserve(6);
+    Message *a = makeMsg(pool, 1);
+    Message *b = makeMsg(pool, 5);
+    queue.enqueue(a);
+    queue.enqueue(b);
+
+    const auto oldest = queue.openClaim(2);
+    const auto middle = queue.openClaim(2);
+    const auto newest = queue.openClaim(3);
+    EXPECT_EQ(queue.pendingClaims(), 3u);
+    EXPECT_EQ(queue.grantedPackets(), 0u);
+
+    queue.dequeue(); // a leaves: 1 packet, a partial grant to the oldest
+    EXPECT_FALSE(queue.claimReady(oldest));
+    EXPECT_EQ(queue.grantedPackets(), 1u);
+
+    queue.cancelClaim(middle);
+    EXPECT_EQ(queue.pendingClaims(), 2u);
+    EXPECT_EQ(queue.grantedPackets(), 1u)
+        << "cancelling a claim with no grant releases nothing";
+
+    queue.dequeue(); // b leaves: 5 packets free up
+    EXPECT_TRUE(queue.claimReady(oldest));
+    EXPECT_FALSE(queue.claimReady(newest))
+        << "only the oldest claim is granted until it is consumed";
+    EXPECT_EQ(queue.grantedPackets(), 2u);
+    EXPECT_FALSE(queue.tryReserve(1)) << "a claim is still waiting";
+
+    queue.consumeClaim(oldest);
+    EXPECT_EQ(queue.pendingClaims(), 1u);
+    EXPECT_EQ(queue.grantedPackets(), 0u);
+    EXPECT_EQ(queue.reservedPackets(), 2u);
+
+    EXPECT_TRUE(queue.claimReady(newest));
+    EXPECT_EQ(queue.grantedPackets(), 3u);
+    EXPECT_FALSE(queue.canAccept(2)) << "2 reserved + 3 granted of 6";
+    queue.consumeClaim(newest);
+    EXPECT_EQ(queue.pendingClaims(), 0u);
+    EXPECT_EQ(queue.grantedPackets(), 0u);
+    EXPECT_EQ(queue.reservedPackets(), 5u);
+    EXPECT_TRUE(queue.tryReserve(1));
+    EXPECT_FALSE(queue.tryReserve(1));
+    pool.free(a);
+    pool.free(b);
+}
+
 TEST(OutQueueTest, BackpressureAtExactCapacity)
 {
     MessagePool pool;

@@ -37,6 +37,7 @@
 #include "obs/registry.h"
 #include "par/shard.h"
 #include "par/tick_engine.h"
+#include "prof/profiler.h"
 
 namespace ultra::net
 {
@@ -260,10 +261,12 @@ TEST(NetShardTest, CombiningStormConservesWithShardedArrivals)
 namespace
 {
 
-/** Open-loop traffic run; returns the full registry JSON. */
+/** Open-loop traffic run; returns the full registry JSON.  A non-null
+ *  @p prof is attached to the engine and the network. */
 std::string
 runTraffic(const NetSimConfig &ncfg, const TrafficConfig &tcfg,
-           unsigned threads, bool sharded, Cycle cycles)
+           unsigned threads, bool sharded, Cycle cycles,
+           prof::Profiler *prof = nullptr)
 {
     mem::MemoryConfig mc;
     mc.numModules = ncfg.numPorts;
@@ -285,6 +288,10 @@ runTraffic(const NetSimConfig &ncfg, const TrafficConfig &tcfg,
     par::TickEngine engine(threads);
     if (sharded)
         network.setTickEngine(&engine);
+    if (prof != nullptr) {
+        engine.setProfiler(prof);
+        network.setProfiler(prof);
+    }
 
     for (Cycle c = 0; c < cycles; ++c) {
         traffic.tickRange(0, static_cast<PEId>(tcfg.activePes));
@@ -410,7 +417,7 @@ TEST(NetShardTest, SlabPoolsConserveUnderCombiningStorm)
     // allocated them; the home-slab discipline must route every free
     // back (MessagePool::free asserts the pool identity, poolAudits
     // exposes the ledger).  Exercised at 1, 2 and 8 threads with the
-    // departure window both on and off.
+    // departure window both on and off (at one thread it sweeps).
     for (const unsigned threads : {1u, 2u, 8u}) {
         for (const bool window : {true, false}) {
             NetSimConfig cfg;
@@ -491,7 +498,8 @@ TEST(NetShardTest, TwoHundredSeedDepartureWindowIdentitySweep)
     // hot-spot fraction, combining policy, and Burroughs-kill
     // episodes.  The baseline runs the legacy sweep single-threaded;
     // each seed pins the window against it at a rotating thread count.
-    const unsigned alts[] = {1, 2, 8};
+    // A one-thread tick always sweeps, so every count is above one.
+    const unsigned alts[] = {2, 4, 8};
     for (std::uint64_t seed = 0; seed < 200; ++seed) {
         NetSimConfig ncfg;
         ncfg.numPorts = 64;
@@ -579,8 +587,47 @@ TEST(NetShardTest, DepartureWindowKeepsLatencyInvariantOnHotspot)
         return latency.summaryJson();
     };
     const std::string sweep = run(false, 1);
-    EXPECT_EQ(sweep, run(true, 1));
+    EXPECT_EQ(sweep, run(true, 2));
     EXPECT_EQ(sweep, run(true, 8));
+}
+
+TEST(NetShardTest, OneThreadTickSweepsInsteadOfTheWindow)
+{
+    // With the window enabled, a one-thread tick still takes the sender
+    // sweep: the pre-pass and the per-stage windows only pay when
+    // their pulls are spread over threads.  A two-thread run does use
+    // the window, and both produce the same bytes.
+    NetSimConfig ncfg;
+    ncfg.numPorts = 64;
+    ncfg.k = 4;
+    ncfg.sizing = PacketSizing::ByContent;
+    ncfg.dataPackets = 3;
+    ncfg.combinePolicy = CombinePolicy::Full;
+    ncfg.parallelDeparture = true;
+    TrafficConfig tcfg;
+    tcfg.activePes = ncfg.numPorts;
+    tcfg.rate = 0.2;
+    tcfg.hotFraction = 0.2;
+    tcfg.hotAddr = 9;
+    tcfg.addrSpaceWords = 1 << 10;
+    tcfg.seed = 5;
+
+    prof::Profiler one;
+    prof::Profiler two;
+    const std::string swept = runTraffic(ncfg, tcfg, 1, true, 300, &one);
+    ASSERT_FALSE(swept.empty());
+    EXPECT_EQ(swept, runTraffic(ncfg, tcfg, 2, true, 300, &two))
+        << "the two-thread window diverged from the one-thread sweep";
+    for (const prof::Phase p :
+         {prof::Phase::NetPrePass, prof::Phase::NetDepartFwd,
+          prof::Phase::NetDepartRev}) {
+        EXPECT_EQ(one.phaseNs(p), 0u)
+            << prof::phaseName(p) << " ran at one thread";
+        EXPECT_GT(two.phaseNs(p), 0u)
+            << prof::phaseName(p) << " did not run at two threads";
+    }
+    EXPECT_GT(one.phaseNs(prof::Phase::NetSweepFwd), 0u);
+    EXPECT_GT(one.phaseNs(prof::Phase::NetSweepRev), 0u);
 }
 
 // ------------------------------------------------------------------

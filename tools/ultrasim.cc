@@ -57,7 +57,9 @@
  *                  (output is byte-identical; A/B timing knob)
  *   --serial-departures  replace the receiver-pull departure window
  *                  with the legacy sender sweep (byte-identical; A/B
- *                  timing knob)
+ *                  timing knob).  The window runs only at --threads
+ *                  > 1: a 1-thread run always sweeps, and net.prepass
+ *                  reads 0 in its --prof-json report
  *   --threads N    host threads for the compute phase (0 = all cores,
  *                  default 1); results are identical for every N
  *
